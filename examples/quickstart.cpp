@@ -81,6 +81,6 @@ int main() {
   std::printf("VARIANCE : %.3f (uniform(0,10) true %.3f)\n",
               core::variance_estimate(avg_sq, avg), 100.0 / 12.0);
   std::printf("\nNext: examples/load_balancing, examples/network_monitoring,"
-              " examples/threaded_runtime\n");
+              " gossip_run --runtime --spec tests/cli/runtime_smoke.json\n");
   return 0;
 }

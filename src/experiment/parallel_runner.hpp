@@ -11,11 +11,6 @@
 // deriving one seed per job (rep_seed() / split_seeds()), never from a
 // shared generator.
 //
-// This generalizes the worker machinery of src/runtime/threaded.* (the
-// protocol-on-real-threads runtime): same idea of long-lived joinable
-// workers, but the unit of work is "one whole repetition", not "one
-// message".
-//
 // Worker count resolution, in priority order:
 //   explicit constructor argument > GOSSIP_THREADS env > hardware cores.
 #pragma once

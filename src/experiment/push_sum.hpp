@@ -6,7 +6,8 @@
 //
 // Implemented on the same Population/PeerSampler substrate as the
 // push–pull driver so the two protocols can be compared on identical
-// overlays (bench/baseline_push_sum). The instructive contrasts:
+// overlays (`gossip_run --scenario baseline_push_sum`). The instructive
+// contrasts:
 //  * push-sum needs no replies (one-way UDP-style traffic), but
 //  * any lost message destroys conserved mass (both sum and weight),
 //    where push–pull only suffers from the response-loss asymmetry.

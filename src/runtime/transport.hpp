@@ -1,9 +1,8 @@
 // Transport abstraction of the deployment runtime: encoded proto wire
 // bytes move between nodes through one of two implementations —
 //
-//  * LoopbackTransport: in-process delivery through the same mailbox
-//    machinery the thread-per-node runtime uses, for N=10³–10⁴ nodes in
-//    one process;
+//  * LoopbackTransport: in-process delivery straight into the executor's
+//    per-worker ingress, for N=10³–10⁴ nodes in one process;
 //  * SocketTransport: real TCP over loopback between K processes hosting
 //    disjoint node-id ranges, length-prefixed frames, plus a cycle-done
 //    control channel so cooperating processes can close each δ cycle
@@ -109,8 +108,7 @@ private:
 };
 
 /// In-process transport: every node is local, frames go straight to the
-/// sink. This is the mailbox path of the thread-per-node runtime promoted
-/// behind the Transport interface.
+/// sink.
 class LoopbackTransport final : public Transport {
 public:
   explicit LoopbackTransport(FaultConfig faults = {});

@@ -25,6 +25,7 @@
 #include "common/json.hpp"
 #include "experiment/emit.hpp"
 #include "experiment/engine.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "experiment/registry.hpp"
 #include "experiment/spec.hpp"
 #include "experiment/table.hpp"
@@ -166,8 +167,10 @@ int run_registered(const std::string& name,
     }
   }
   if (format == OutputFormat::kTable) {
+    const unsigned threads =
+        options.threads != 0 ? options.threads : runner_threads();
     print_banner(std::cout, def->info.figure, def->info.description,
-                 scale_note(scale, def->info.paper_setup));
+                 scale_note(scale, threads, def->info.paper_setup));
   }
   ScenarioOutput out = run_scenario(*def, scale, options);
   render_scenario(std::cout, name, out.table, out.trailer, out.results,

@@ -85,9 +85,10 @@ bool identical(const std::vector<RunResult>& a,
 int run() {
   const Scale s = bench_scale(/*def_nodes=*/10000, /*def_reps=*/16,
                               /*paper_nodes=*/100000, /*paper_reps=*/50);
+  const unsigned threads = runner_threads();
   print_banner(std::cout, "Perf report",
                "serial vs parallel repetition throughput, cycle driver",
-               scale_note(s, "substrate benchmark, not a figure"));
+               scale_note(s, threads, "substrate benchmark, not a figure"));
 
   ScenarioSpec spec = ScenarioSpec::average_peak("perf_report", s.nodes, 30)
                           .with_topology(TopologyConfig::newscast(30))
@@ -95,7 +96,6 @@ int run() {
                           .with_seed(s.seed)
                           .with_seed_point(0);
 
-  const unsigned threads = runner_threads();
   const auto total_cycles =
       static_cast<double>(s.reps) * static_cast<double>(spec.cycles);
   // Per cycle: every node initiates one newscast exchange and one

@@ -68,8 +68,8 @@ public:
   }
 
 private:
-  std::uint32_t cycles_per_epoch_;
   std::uint64_t epoch_ = 0;
+  std::uint32_t cycles_per_epoch_;
   std::uint32_t cycle_ = 0;
 };
 

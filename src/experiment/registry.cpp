@@ -1167,10 +1167,11 @@ ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
                         std::move(results)};
 }
 
-std::string scale_note(const Scale& s, const std::string& paper_setup) {
+std::string scale_note(const Scale& s, unsigned threads,
+                       const std::string& paper_setup) {
   std::ostringstream os;
   os << "N=" << s.nodes << ", reps=" << s.reps << ", seed=" << s.seed
-     << ", threads<=" << runner_threads()
+     << ", threads<=" << threads
      << (s.full ? " [paper scale]" : " [scaled default]")
      << " | paper: " << paper_setup;
   return os.str();

@@ -72,6 +72,7 @@ ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
                             const EngineOptions& options = {});
 
 /// The banner scale string ("N=…, reps=…, seed=…, threads<=…").
-std::string scale_note(const Scale& s, const std::string& paper_setup);
+std::string scale_note(const Scale& s, unsigned threads,
+                       const std::string& paper_setup);
 
 }  // namespace gossip::experiment

@@ -23,8 +23,8 @@ struct AggReply {
   std::uint64_t epoch = 0;
   std::uint64_t request_id = 0;
   double value = 0.0;
-  /// Set when the passive side refused a stale-epoch push; the value is
-  /// then meaningless and `epoch` carries the newer epoch id.
+  /// Set when the passive side refused the push (busy, gated, or a stale
+  /// epoch); the value is then meaningless and `epoch` carries its epoch.
   bool refused = false;
 };
 

@@ -1,12 +1,15 @@
 // Assembles a whole event-driven deployment: loop + lossy/latent network
 // + N protocol nodes with bootstrap views. This is the harness the
-// integration tests and the monitoring example drive; it plays the role
-// PeerSim's event-based mode played for the authors.
+// integration tests and the event driver use; it plays the role PeerSim's
+// event-based mode played for the authors. As proto::Node's virtual-time
+// host it keeps each node's Rng, timers and counters, and it drops the
+// refusals Outbox::refuse() hands it, so those initiators time out.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -34,9 +37,20 @@ struct WorldConfig {
   std::function<double(NodeId)> initial_value;
 };
 
-class World {
+/// Per-node protocol counters, for tests and monitoring.
+struct NodeStats {
+  std::uint64_t exchanges_initiated = 0;
+  std::uint64_t exchanges_completed = 0;  ///< active side, reply applied
+  std::uint64_t pushes_received = 0;      ///< served or refused
+  std::uint64_t timeouts = 0;
+  std::uint64_t epochs_adopted = 0;       ///< §4.3 jumps
+};
+
+class World final : private Outbox {
 public:
   explicit World(WorldConfig config);
+  World(const World&) = delete;  // timers and handlers capture `this`
+  World& operator=(const World&) = delete;
 
   /// Starts every node at a random phase.
   void start();
@@ -45,13 +59,15 @@ public:
   void run_cycles(double cycles);
 
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
-  [[nodiscard]] net::Network<Message>& network() { return *network_; }
   [[nodiscard]] net::TraceLog& trace() { return trace_; }
 
   [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(nodes_.size());
+    return static_cast<std::uint32_t>(slots_.size());
   }
-  [[nodiscard]] Node& node(NodeId id);
+  [[nodiscard]] Node& node(NodeId id) { return slots_[index(id)].node; }
+  [[nodiscard]] const NodeStats& stats(NodeId id) const {
+    return slots_[index(id)].stats;
+  }
   [[nodiscard]] bool alive(NodeId id) const {
     return network_->alive(id);
   }
@@ -75,12 +91,32 @@ public:
   [[nodiscard]] std::vector<double> reports() const;
 
 private:
+  /// One hosted node and what the world keeps for it.
+  struct Slot {
+    Node node;
+    Rng rng;
+    NodeStats stats;
+    sim::TaskId cycle_task = 0;
+    sim::TaskId timeout_task = 0;  ///< armed while node.pending()
+  };
+
+  void send(NodeId from, NodeId to, Message message) override {
+    network_->send(from, to, std::move(message));
+  }
+  void refuse(NodeId, NodeId, Message) override {}
+  [[nodiscard]] std::uint32_t index(NodeId id) const;
+  void add_slot(Node node);
+  void start(std::uint32_t u);
+  void on_cycle(std::uint32_t u);
+  void on_message(std::uint32_t u, NodeId from, const Message& message);
+  void settle(Slot& s);
+
   WorldConfig config_;
   Rng rng_;
   sim::EventLoop loop_;
   net::TraceLog trace_;
   std::unique_ptr<net::Network<Message>> network_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace gossip::proto

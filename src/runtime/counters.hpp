@@ -11,7 +11,7 @@ namespace gossip::runtime {
 /// Aggregated per-node transport/protocol counters of one executor run.
 struct RuntimeCounters {
   std::uint64_t pushes_sent = 0;       ///< AggPush initiations
-  std::uint64_t pushes_received = 0;   ///< AggPush served (incl. refusals)
+  std::uint64_t pushes_received = 0;   ///< AggPush answered (incl. refusals)
   std::uint64_t replies_sent = 0;      ///< AggReply sent (incl. busy NACKs)
   std::uint64_t replies_received = 0;  ///< AggReply matched to a pending
   std::uint64_t busy_nacks = 0;        ///< refusals sent (exchange atomicity)

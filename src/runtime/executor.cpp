@@ -1,6 +1,7 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <exception>
 #include <utility>
@@ -60,27 +61,27 @@ Executor::Executor(ExecutorConfig config, Transport& transport)
       transport_(transport),
       sync_(static_cast<std::ptrdiff_t>(config_.workers) + 1),
       driver_rng_(config_.seed ^ salt::kRuntimeDriver) {
+  // One AVERAGE epoch (γ past the run); only NEWSCAST fills the view.
+  protocol_.cycles_per_epoch = config_.cycles + 1;
+  protocol_.cache_size =
+      config_.overlay == OverlayMode::kNewscast ? config_.cache_size : 1;
+
   const std::uint32_t local = config_.local_hi - config_.local_lo;
   const std::size_t capacity = std::size_t{local} + config_.max_joins;
-  estimates_.reserve(capacity);
-  values_.reserve(capacity);
+  nodes_.reserve(capacity);
   alive_.reserve(capacity);
-  participant_.reserve(capacity);
-  pending_req_.reserve(capacity);
-  pending_peer_.reserve(capacity);
-  if (config_.overlay == OverlayMode::kNewscast) caches_.reserve(capacity);
 
   workers_.reserve(config_.workers);
   Rng worker_seeds(config_.seed ^ salt::kRuntimeWorkerPool);
   for (std::uint32_t i = 0; i < config_.workers; ++i) {
-    auto w = std::make_unique<Worker>();
+    auto w = std::make_unique<Worker>(*this);
     w->wheel.resize(config_.wheel_slots);
     w->rng = worker_seeds.split();
     workers_.push_back(std::move(w));
   }
 
   for (std::uint32_t slot = 0; slot < local; ++slot) {
-    add_node(config_.initial[config_.local_lo + slot], /*participant=*/true,
+    add_node(config_.initial[config_.local_lo + slot], /*founder=*/true,
              /*bootstrap_ts=*/0);
   }
 
@@ -96,10 +97,10 @@ std::uint32_t Executor::slot_of(NodeId id) const {
   }
   // Ids past the initial space are locally-joined churn identities.
   const std::uint32_t local = config_.local_hi - config_.local_lo;
-  GOSSIP_REQUIRE(raw >= config_.nodes, "frame addressed to a remote node");
-  const std::uint32_t slot = local + (raw - config_.nodes);
-  GOSSIP_REQUIRE(slot < alive_.size(), "frame addressed to an unknown node");
-  return slot;
+  if (raw >= config_.nodes && raw - config_.nodes < alive_.size() - local) {
+    return local + (raw - config_.nodes);
+  }
+  return kForeign;
 }
 
 std::uint32_t Executor::global_of(std::uint32_t slot) const {
@@ -109,16 +110,8 @@ std::uint32_t Executor::global_of(std::uint32_t slot) const {
 }
 
 void Executor::sink(Frame&& frame) {
-  const std::uint32_t raw = frame.dst.value();
-  std::uint32_t slot;
-  const std::uint32_t local = config_.local_hi - config_.local_lo;
-  if (raw >= config_.local_lo && raw < config_.local_hi) {
-    slot = raw - config_.local_lo;
-  } else if (raw >= config_.nodes && raw - config_.nodes < alive_.size() - local) {
-    slot = local + (raw - config_.nodes);
-  } else {
-    return;  // stale or corrupt destination — not ours, drop silently
-  }
+  const std::uint32_t slot = slot_of(frame.dst);
+  if (slot == kForeign) return;  // stale or corrupt: not ours, drop it
   Worker& w = *workers_[slot % config_.workers];
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   std::scoped_lock lock(w.mutex);
@@ -131,8 +124,10 @@ ExecutorResult Executor::run(const failure::FailurePlan& plan) {
 
   record_stats();
   long double sum_initial = 0.0L;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (alive_[slot] && participant_[slot]) sum_initial += estimates_[slot];
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (alive_[slot] && nodes_[slot].participating()) {
+      sum_initial += nodes_[slot].estimate();
+    }
   }
 
   apply_failures(0, plan);
@@ -176,10 +171,10 @@ ExecutorResult Executor::run(const failure::FailurePlan& plan) {
   result.per_cycle = std::move(per_cycle_);
   result.tracking_error = std::move(tracking_error_);
   long double sum_final = 0.0L;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (!alive_[slot] || !participant_[slot]) continue;
-    result.final_estimates.push_back(estimates_[slot]);
-    sum_final += estimates_[slot];
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (!alive_[slot] || !nodes_[slot].participating()) continue;
+    result.final_estimates.push_back(nodes_[slot].estimate());
+    sum_final += nodes_[slot].estimate();
     ++result.participants;
   }
   result.sum_initial = static_cast<double>(sum_initial);
@@ -225,9 +220,9 @@ void Executor::run_cycle(Worker& w, std::uint32_t cycle) {
       std::this_thread::sleep_until(cycle_start_ + s * slot_len);
     }
     for (std::uint32_t u : w.wheel[s]) {
-      if (!alive_[u]) continue;
-      if (config_.overlay == OverlayMode::kNewscast) initiate_newscast(w, u);
-      if (participant_[u]) initiate_aggregation(w, u);
+      if (alive_[u] && nodes_[u].cycle(cycle_ + 1, w.rng, w)) {
+        w.counters.pushes_sent++;
+      }
     }
     drain(w);
     if (failed_.load(std::memory_order_relaxed)) return;
@@ -321,135 +316,88 @@ void Executor::process(Worker& w, Frame&& frame) {
   w.counters.messages_received++;
   w.counters.bytes_decoded += frame.payload.size();
   const proto::Message message = proto::decode(frame.payload);
-  const std::uint32_t d = slot_of(frame.dst);
-
-  if (const auto* push = std::get_if<proto::AggPush>(&message)) {
-    w.counters.pushes_received++;
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else if (!participant_[d] || pending_req_[d] != 0) {
-      // Exchange atomicity (and joiners sitting out the epoch): refuse.
-      w.counters.busy_nacks++;
+  const std::uint32_t d = slot_of(frame.dst);  // vetted by sink()
+  if (!alive_[d]) {
+    w.counters.dropped_dead++;
+    return;
+  }
+  switch (nodes_[d].on_message(frame.src, message, cycle_ + 1, w)) {
+    case proto::Outcome::kPushServed:
+    case proto::Outcome::kPushRefused:
+      // Every push is answered here: served, or refused with a NACK.
+      w.counters.pushes_received++;
       w.counters.replies_sent++;
-      send_message(w, d, frame.src,
-                   proto::AggReply{0, push->request_id, 0.0, true});
-    } else {
-      const double mine = estimates_[d];
-      w.counters.replies_sent++;
-      send_message(w, d, frame.src,
-                   proto::AggReply{0, push->request_id, mine, false});
-      estimates_[d] = 0.5 * (mine + push->value);
-    }
-  } else if (const auto* reply = std::get_if<proto::AggReply>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else if (pending_req_[d] != 0 && pending_req_[d] == reply->request_id) {
-      pending_req_[d] = 0;
-      pending_peer_[d] = NodeId::invalid().value();
+      break;
+    case proto::Outcome::kReplyApplied:
+      w.counters.exchanges_completed++;
+      [[fallthrough]];
+    case proto::Outcome::kReplyVoid:
       w.counters.replies_received++;
-      if (!reply->refused) {
-        estimates_[d] = 0.5 * (estimates_[d] + reply->value);
-        w.counters.exchanges_completed++;
-      }
-    } else {
+      break;
+    case proto::Outcome::kReplyLate:
       w.counters.late_replies++;
-    }
-  } else if (const auto* news = std::get_if<proto::NewsPush>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else {
-      proto::NewsReply answer;
-      const auto mine = caches_[d].entries();
-      answer.entries.assign(mine.begin(), mine.end());
-      answer.fresh = membership::CacheEntry(frame.dst, cycle_ + 1);
-      send_message(w, d, frame.src, answer);
-      caches_[d].merge(news->entries, news->fresh, frame.dst);
-    }
-  } else if (const auto* answer = std::get_if<proto::NewsReply>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else {
-      caches_[d].merge(answer->entries, answer->fresh, frame.dst);
+      break;
+    case proto::Outcome::kNewsMerged:
       w.counters.news_exchanges++;
-    }
+      break;
+    default:
+      break;
   }
 }
 
-void Executor::send_message(Worker& w, std::uint32_t from_slot, NodeId to,
-                            const proto::Message& message) {
+void Executor::Worker::send(NodeId from, NodeId to, proto::Message message) {
   auto bytes = proto::encode(message);
-  w.counters.messages_sent++;
-  w.counters.bytes_encoded += bytes.size();
+  counters.messages_sent++;
+  counters.bytes_encoded += bytes.size();
   // A false return means the loss model ate it; the transport counts the
   // drop, and the pending (if any) resolves through quiescence/timeout.
-  (void)transport_.send(NodeId(global_of(from_slot)), to, std::move(bytes));
+  (void)owner.transport_.send(from, to, std::move(bytes));
 }
 
-void Executor::initiate_aggregation(Worker& w, std::uint32_t slot) {
-  const NodeId peer = pick_peer(w, slot);
-  if (!peer.is_valid() || peer.value() == global_of(slot)) return;
-  const std::uint64_t request_id =
-      (static_cast<std::uint64_t>(global_of(slot)) << 32) | (cycle_ + 1);
-  pending_req_[slot] = request_id;
-  pending_peer_[slot] = peer.value();
-  w.counters.pushes_sent++;
-  send_message(w, slot, peer, proto::AggPush{0, request_id, estimates_[slot]});
+void Executor::Worker::refuse(NodeId from, NodeId to, proto::Message reply) {
+  counters.busy_nacks++;
+  send(from, to, std::move(reply));
 }
 
-void Executor::initiate_newscast(Worker& w, std::uint32_t slot) {
-  if (caches_[slot].empty()) return;
-  const NodeId peer = caches_[slot].sample(w.rng);
-  if (!peer.is_valid() || peer.value() == global_of(slot)) return;
-  proto::NewsPush push;
-  const auto mine = caches_[slot].entries();
-  push.entries.assign(mine.begin(), mine.end());
-  push.fresh =
-      membership::CacheEntry(NodeId(global_of(slot)), cycle_ + 1);
-  send_message(w, slot, peer, push);
-}
-
-NodeId Executor::pick_peer(Worker& w, std::uint32_t slot) {
-  switch (config_.overlay) {
+NodeId Executor::Worker::peer(const proto::Node& node, Rng& rng) {
+  const ExecutorConfig& config = owner.config_;
+  const std::uint32_t self = node.id().value();
+  switch (config.overlay) {
     case OverlayMode::kComplete: {
-      const std::uint32_t self = global_of(slot);
-      if (self >= config_.nodes) {
-        return NodeId(static_cast<std::uint32_t>(
-            w.rng.below(config_.nodes)));
+      if (self >= config.nodes) {
+        return NodeId(static_cast<std::uint32_t>(rng.below(config.nodes)));
       }
-      auto pick =
-          static_cast<std::uint32_t>(w.rng.below(config_.nodes - 1));
+      auto pick = static_cast<std::uint32_t>(rng.below(config.nodes - 1));
       if (pick >= self) ++pick;
       return NodeId(pick);
     }
     case OverlayMode::kStatic: {
-      const auto neighbors =
-          config_.graph->neighbors(NodeId(global_of(slot)));
+      const auto neighbors = config.graph->neighbors(node.id());
       if (neighbors.empty()) return NodeId::invalid();
-      return neighbors[w.rng.below(neighbors.size())];
+      return neighbors[rng.below(neighbors.size())];
     }
     case OverlayMode::kNewscast:
-      return caches_[slot].sample(w.rng);
+      return proto::Outbox::peer(node, rng);
   }
   return NodeId::invalid();
 }
 
+bool Executor::awaits(std::uint32_t slot, bool local_only) const {
+  const proto::Node& node = nodes_[slot];
+  return node.pending() &&
+         (!local_only || transport_.is_local(node.pending_peer()));
+}
+
 void Executor::expire_pendings(Worker& w, bool local_only) {
   for (std::uint32_t u : w.own) {
-    if (pending_req_[u] == 0) continue;
-    if (local_only && !transport_.is_local(NodeId(pending_peer_[u]))) continue;
-    pending_req_[u] = 0;
-    pending_peer_[u] = NodeId::invalid().value();
-    w.counters.timeouts++;
+    if (awaits(u, local_only) && nodes_[u].expire()) w.counters.timeouts++;
   }
 }
 
 bool Executor::has_pending(const Worker& w, bool local_only) const {
-  for (std::uint32_t u : w.own) {
-    if (pending_req_[u] == 0) continue;
-    if (local_only && !transport_.is_local(NodeId(pending_peer_[u]))) continue;
-    return true;
-  }
-  return false;
+  return std::any_of(w.own.begin(), w.own.end(), [&](std::uint32_t u) {
+    return awaits(u, local_only);
+  });
 }
 
 void Executor::fail(const std::string& message) {
@@ -471,9 +419,8 @@ void Executor::apply_failures(std::uint32_t cycle,
 
   if (event.kill_hi > event.kill_lo) {
     for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
-      if (!alive_[slot]) continue;
-      const std::uint32_t id = global_of(static_cast<std::uint32_t>(slot));
-      if (id >= event.kill_lo && id < event.kill_hi) {
+      const std::uint32_t id = nodes_[slot].id().value();
+      if (alive_[slot] && id >= event.kill_lo && id < event.kill_hi) {
         alive_[slot] = 0;
         --live;
       }
@@ -495,28 +442,25 @@ void Executor::apply_failures(std::uint32_t cycle,
   }
 
   for (std::uint32_t j = 0; j < event.joins; ++j) {
-    add_node(0.0, /*participant=*/false, /*bootstrap_ts=*/cycle);
+    add_node(0.0, /*founder=*/false, /*bootstrap_ts=*/cycle);
   }
 }
 
 void Executor::apply_drift(std::uint32_t cycle) {
   if (!config_.drift) return;
-  for (std::size_t slot = 0; slot < values_.size(); ++slot) {
-    if (!alive_[slot]) continue;
-    const double delta =
-        config_.drift(cycle, global_of(static_cast<std::uint32_t>(slot)));
-    values_[slot] += delta;
-    if (participant_[slot]) estimates_[slot] += delta;
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    proto::Node& node = nodes_[slot];
+    if (alive_[slot]) node.shift(config_.drift(cycle, node.id().value()));
   }
 }
 
 void Executor::record_stats() {
   stats::RunningStats estimate_stats;
   stats::RunningStats value_stats;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (!alive_[slot] || !participant_[slot]) continue;
-    estimate_stats.add(estimates_[slot]);
-    value_stats.add(values_[slot]);
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (!alive_[slot] || !nodes_[slot].participating()) continue;
+    estimate_stats.add(nodes_[slot].estimate());
+    value_stats.add(nodes_[slot].local_value());
   }
   per_cycle_.push_back(estimate_stats);
   if (config_.drift) {
@@ -525,24 +469,25 @@ void Executor::record_stats() {
   }
 }
 
-void Executor::add_node(double value, bool participant,
+void Executor::add_node(double value, bool founder,
                         std::uint32_t bootstrap_ts) {
-  const auto slot = static_cast<std::uint32_t>(estimates_.size());
-  estimates_.push_back(value);
-  values_.push_back(value);
+  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  const std::uint32_t self = global_of(slot);
+  // Churn joiners sit out the run's single epoch (§4.2 join gating).
+  if (founder) {
+    nodes_.emplace_back(NodeId(self), value, protocol_);
+  } else {
+    nodes_.emplace_back(NodeId(self), value, protocol_, /*contact_epoch=*/0);
+  }
   alive_.push_back(1);
-  participant_.push_back(participant ? 1 : 0);
-  pending_req_.push_back(0);
-  pending_peer_.push_back(NodeId::invalid().value());
   if (config_.overlay == OverlayMode::kNewscast) {
-    caches_.emplace_back(config_.cache_size);
     // Bootstrap with a few random peers so the node can gossip at once.
     // Initial nodes point anywhere in the global id space; churn joiners
     // (bootstrap_ts > 0) must name live local nodes, so draw from slots.
-    const std::uint32_t fanout =
-        std::min<std::uint32_t>(config_.cache_size, 8);
-    const std::uint32_t self = global_of(slot);
-    for (std::uint32_t i = 0; i < fanout; ++i) {
+    std::array<membership::CacheEntry, 8> view;
+    std::size_t filled = 0;
+    const auto fanout = std::min<std::size_t>(config_.cache_size, view.size());
+    for (std::size_t i = 0; i < fanout; ++i) {
       std::uint32_t peer;
       if (bootstrap_ts == 0) {
         peer = static_cast<std::uint32_t>(driver_rng_.below(config_.nodes));
@@ -553,9 +498,9 @@ void Executor::add_node(double value, bool participant,
         peer = global_of(other);
       }
       if (peer == self) continue;
-      caches_.back().insert(
-          membership::CacheEntry(NodeId(peer), bootstrap_ts));
+      view[filled++] = membership::CacheEntry(NodeId(peer), bootstrap_ts);
     }
+    nodes_.back().bootstrap_view({view.data(), filled});
   }
   Worker& w = *workers_[slot % config_.workers];
   w.own.push_back(slot);

@@ -4,13 +4,14 @@
 // one process, and K processes can host disjoint id ranges over the
 // socket transport.
 //
-// Architecture: W worker threads each own a partition of the local nodes.
-// A per-worker timer wheel staggers each node's δ-cycle wakeup across
-// `wheel_slots` ticks; between ticks workers drain their ingress mailbox,
-// serving pushes, matching replies to pendings and holding delay-injected
-// frames until their deadline — all non-blocking. Exchange atomicity is
-// the busy-NACK rule of the event stack: a node whose own push is in
-// flight refuses incoming pushes.
+// Architecture: W worker threads each own a partition of the local nodes
+// — proto::Node, the state machine proto::World also hosts. A per-worker
+// timer wheel staggers each node's δ-cycle wakeup across `wheel_slots`
+// ticks; between ticks workers drain their ingress mailbox, handing each
+// decoded frame to its node and holding delay-injected frames until their
+// deadline — all non-blocking. A node refuses pushes while its own push
+// is in flight (exchange atomicity) or while it sits out the epoch; where
+// the event world drops that refusal, the executor sends a busy NACK.
 //
 // Cycle closure is quiescence-based, which makes timeouts loss-exact: a
 // global in-flight frame counter follows the strict discipline "a reply
@@ -23,12 +24,13 @@
 // alive). Replies to remote peers ride reliable TCP and expire only on
 // the per-cycle wall deadline.
 //
-// The executor runs one cycle-stepped epoch: between cycles a driver
-// thread applies the failure plan (kills/joins), the drift stream and
-// records per-cycle estimate statistics, exactly like the simulators —
-// which is what makes the runtime_vs_sim cross-check meaningful. Runs are
-// wall-clock concurrent and NOT bit-deterministic; tests assert protocol
-// invariants (conservation, convergence), never goldens.
+// The executor runs one cycle-stepped epoch (γ lies past the last cycle):
+// between cycles a driver thread applies the failure plan (kills/joins),
+// the drift stream and records per-cycle estimate statistics, exactly
+// like the simulators — which is what makes the runtime_vs_sim
+// cross-check meaningful. Runs are wall-clock concurrent and NOT
+// bit-deterministic; tests assert protocol invariants (conservation,
+// convergence), never goldens.
 #pragma once
 
 #include <atomic>
@@ -45,9 +47,8 @@
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "failure/failure_plan.hpp"
-#include "membership/newscast_cache.hpp"
 #include "overlay/graph.hpp"
-#include "proto/messages.hpp"
+#include "proto/node.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/transport.hpp"
 #include "stats/running_stats.hpp"
@@ -117,7 +118,14 @@ public:
   ExecutorResult run(const failure::FailurePlan& plan);
 
 private:
-  struct Worker {
+  /// A dispatcher thread's state; also the outbox of the nodes it owns.
+  struct Worker final : proto::Outbox {
+    explicit Worker(Executor& executor) : owner(executor) {}
+    void send(NodeId from, NodeId to, proto::Message message) override;
+    void refuse(NodeId from, NodeId to, proto::Message reply) override;
+    [[nodiscard]] NodeId peer(const proto::Node& node, Rng& rng) override;
+
+    Executor& owner;
     std::mutex mutex;
     std::vector<Frame> ingress;       ///< MPSC mailbox (sink pushes here)
     std::vector<Frame> grab;          ///< drain swap buffer
@@ -128,7 +136,9 @@ private:
     RuntimeCounters counters;
   };
 
+  /// The local slot hosting `id`; kForeign when no local node has it.
   [[nodiscard]] std::uint32_t slot_of(NodeId id) const;
+  static constexpr std::uint32_t kForeign = ~std::uint32_t{0};
   [[nodiscard]] std::uint32_t global_of(std::uint32_t slot) const;
   [[nodiscard]] bool single_process() const {
     return config_.local_hi - config_.local_lo == config_.nodes;
@@ -139,11 +149,8 @@ private:
   void run_cycle(Worker& w, std::uint32_t cycle);
   bool drain(Worker& w);
   void process(Worker& w, Frame&& frame);
-  void send_message(Worker& w, std::uint32_t from_slot, NodeId to,
-                    const proto::Message& message);
-  void initiate_aggregation(Worker& w, std::uint32_t slot);
-  void initiate_newscast(Worker& w, std::uint32_t slot);
-  [[nodiscard]] NodeId pick_peer(Worker& w, std::uint32_t slot);
+  /// Whether slot's node awaits a reply (from a local peer if local_only).
+  [[nodiscard]] bool awaits(std::uint32_t slot, bool local_only) const;
   void expire_pendings(Worker& w, bool local_only);
   [[nodiscard]] bool has_pending(const Worker& w, bool local_only) const;
   void fail(const std::string& message);
@@ -152,20 +159,16 @@ private:
   void apply_failures(std::uint32_t cycle, const failure::FailurePlan& plan);
   void apply_drift(std::uint32_t cycle);
   void record_stats();
-  void add_node(double value, bool participant, std::uint32_t bootstrap_ts);
+  void add_node(double value, bool founder, std::uint32_t bootstrap_ts);
 
   ExecutorConfig config_;
+  proto::ProtocolConfig protocol_;
   Transport& transport_;
 
   // Node state, indexed by local slot. Mutated by the owning worker
   // during a cycle and by the driver between barriers only.
-  std::vector<double> estimates_;
-  std::vector<double> values_;
+  std::vector<proto::Node> nodes_;
   std::vector<char> alive_;
-  std::vector<char> participant_;
-  std::vector<std::uint64_t> pending_req_;
-  std::vector<std::uint32_t> pending_peer_;
-  std::vector<membership::NewscastCache> caches_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::int64_t> in_flight_{0};

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <vector>
 
 #include "core/count.hpp"
 #include "experiment/cycle_sim.hpp"
@@ -113,29 +115,45 @@ TEST(Integration, JoinWaveAdoptsRunningSystem) {
 
 TEST(Integration, WireFormatCarriesTheProtocol) {
   // Encode→decode every message an exchange produces and feed the decoded
-  // copy to the peer: the protocol must behave identically.
-  sim::EventLoop loop;
-  net::Network<proto::Message> network(
-      loop, std::make_unique<net::FixedLatency>(10), 0.0, Rng(1));
+  // copy to the peer: the protocol must behave identically. The host is a
+  // FIFO of encoded frames drained after each node's cycle.
+  struct Wire final : proto::Outbox {
+    struct Frame {
+      NodeId from, to;
+      std::vector<std::byte> bytes;
+    };
+    std::deque<Frame> frames;
+    void send(NodeId from, NodeId to, proto::Message m) override {
+      frames.push_back({from, to, proto::encode(m)});
+    }
+    void refuse(NodeId from, NodeId to, proto::Message m) override {
+      send(from, to, std::move(m));
+    }
+  };
   proto::ProtocolConfig pcfg;
   pcfg.cache_size = 4;
-  proto::Node a(NodeId(0), 4.0, pcfg, loop, network, Rng(2));
-  proto::Node b(NodeId(1), 2.0, pcfg, loop, network, Rng(3));
-  network.register_node(NodeId(0), [&a](NodeId from, const proto::Message& m) {
-    a.on_message(from, proto::decode(proto::encode(m)));
-  });
-  network.register_node(NodeId(1), [&b](NodeId from, const proto::Message& m) {
-    b.on_message(from, proto::decode(proto::encode(m)));
-  });
-  a.bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(1), 0}});
-  b.bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(0), 0}});
-  a.start();
-  b.start();
-  loop.run_until(5'000'000);  // 5 cycles
-  EXPECT_NEAR(a.estimate(), 3.0, 1e-12);
-  EXPECT_NEAR(b.estimate(), 3.0, 1e-12);
-  EXPECT_GT(a.stats().exchanges_completed + b.stats().exchanges_completed,
-            0u);
+  std::vector<proto::Node> nodes{proto::Node(NodeId(0), 4.0, pcfg),
+                                 proto::Node(NodeId(1), 2.0, pcfg)};
+  nodes[0].bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(1), 0}});
+  nodes[1].bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(0), 0}});
+  Wire wire;
+  Rng rng(2);
+  std::uint64_t completed = 0;
+  for (std::uint64_t cycle = 1; cycle <= 5; ++cycle) {
+    for (auto& node : nodes) {
+      node.cycle(cycle, rng, wire);
+      while (!wire.frames.empty()) {
+        const Wire::Frame frame = std::move(wire.frames.front());
+        wire.frames.pop_front();
+        const auto outcome = nodes[frame.to.value()].on_message(
+            frame.from, proto::decode(frame.bytes), cycle, wire);
+        completed += outcome == proto::Outcome::kReplyApplied ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_NEAR(nodes[0].estimate(), 3.0, 1e-12);
+  EXPECT_NEAR(nodes[1].estimate(), 3.0, 1e-12);
+  EXPECT_GT(completed, 0u);
 }
 
 TEST(Integration, CycleAndEventEnginesAgreeOnCountAccuracy) {

@@ -1,11 +1,15 @@
-// Tests for src/proto: the event-driven "practical protocol" of §4 —
-// convergence under real delays, timeouts against crashed peers, epoch
-// restart and epidemic epoch synchronization, join gating, the
-// 1+Poisson(1) exchange distribution, and agreement with the cycle
-// driver's convergence factor.
+// Tests for src/proto: the node's refusal, epoch and reply rules driven
+// directly through a fake outbox, and the event-driven "practical
+// protocol" of §4 — convergence under real delays, timeouts against
+// crashed peers, epoch restart and epidemic epoch synchronization, join
+// gating, the 1+Poisson(1) exchange distribution, and agreement with the
+// cycle driver's convergence factor.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <vector>
 
 #include "common/require.hpp"
 #include "proto/node.hpp"
@@ -15,6 +19,140 @@
 
 namespace gossip::proto {
 namespace {
+
+/// Records what a node hands its host, delivering nothing.
+struct FakeOutbox final : Outbox {
+  struct Sent {
+    NodeId from, to;
+    Message message;
+    bool refusal;  ///< went through refuse() rather than send()
+  };
+  std::vector<Sent> sent;
+
+  void send(NodeId from, NodeId to, Message message) override {
+    sent.push_back({from, to, std::move(message), false});
+  }
+  void refuse(NodeId from, NodeId to, Message reply) override {
+    sent.push_back({from, to, std::move(reply), true});
+  }
+  /// The request id of the last aggregation push sent.
+  [[nodiscard]] std::uint64_t last_request() const {
+    for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
+      if (const auto* push = std::get_if<AggPush>(&it->message)) {
+        return push->request_id;
+      }
+    }
+    ADD_FAILURE() << "no push was sent";
+    return 0;
+  }
+};
+
+// The per-node rules, one input at a time. Node 0 holds 4.0 and knows
+// peer 1; the input arrives from node 2 (pushes) or node 1 (replies).
+TEST(ProtoNode, RefusalEpochAndReplyRules) {
+  struct Case {
+    const char* name;
+    std::uint32_t gamma;  ///< γ of the node's epochs
+    bool joiner;          ///< joined during epoch 0: sits it out
+    /// Prepares the node and returns the input message.
+    std::function<Message(Node&, FakeOutbox&, Rng&)> arrange;
+    Outcome outcome;
+    std::optional<AggReply> reply;  ///< the answer to node 2, if any
+    bool via_refuse;                ///< ...handed to refuse()
+    double estimate;
+    std::uint64_t epoch;
+    bool pending;
+  };
+  const auto cycle_once = [](Node& n, FakeOutbox& out, Rng& rng) {
+    EXPECT_TRUE(n.cycle(/*now=*/1, rng, out));
+  };
+  const std::vector<Case> cases = {
+      {"busy push is refused", 30, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);
+         return AggPush{0, 7, 2.0};
+       },
+       Outcome::kPushRefused, AggReply{0, 7, 0.0, true}, true, 4.0, 0, true},
+      {"push to a gated joiner is refused", 30, true,
+       [](Node&, FakeOutbox&, Rng&) -> Message { return AggPush{0, 7, 2.0}; },
+       Outcome::kPushRefused, AggReply{0, 7, 0.0, true}, true, 4.0, 0, false},
+      {"stale-epoch push gets a refusal carrying the newer epoch", 1, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);  // γ = 1: this cycle rolls to epoch 1
+         return AggPush{0, 7, 2.0};
+       },
+       Outcome::kPushRefused, AggReply{1, 7, 0.0, true}, false, 4.0, 1, false},
+      {"newer-epoch push is adopted, then served", 30, false,
+       [](Node& n, FakeOutbox& out, Rng&) -> Message {
+         // An epoch-0 exchange moves the estimate off the local value;
+         // adopting epoch 2 re-initializes it before serving.
+         n.on_message(NodeId(3), AggPush{0, 5, 2.0}, /*now=*/1, out);
+         return AggPush{2, 7, 0.0};
+       },
+       Outcome::kPushServed, AggReply{2, 7, 4.0, false}, false, 2.0, 2,
+       false},
+      {"matching reply completes the exchange", 30, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);
+         return AggReply{0, out.last_request(), 2.0, false};
+       },
+       Outcome::kReplyApplied, std::nullopt, false, 3.0, 0, false},
+      {"reply after a timeout is ignored", 30, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);
+         EXPECT_TRUE(n.expire());
+         return AggReply{0, out.last_request(), 2.0, false};
+       },
+       Outcome::kReplyLate, std::nullopt, false, 4.0, 0, false},
+      {"late reply from a newer epoch is ignored entirely", 30, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);
+         EXPECT_TRUE(n.expire());
+         return AggReply{2, out.last_request(), 2.0, false};
+       },
+       Outcome::kReplyLate, std::nullopt, false, 4.0, 0, false},
+      {"late refusal still carries its newer epoch", 30, false,
+       [&](Node& n, FakeOutbox& out, Rng& rng) -> Message {
+         cycle_once(n, out, rng);
+         EXPECT_TRUE(n.expire());
+         return AggReply{2, out.last_request(), 0.0, true};
+       },
+       Outcome::kReplyLate, std::nullopt, false, 4.0, 2, false},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ProtocolConfig config;
+    config.cycles_per_epoch = c.gamma;
+    Node node = c.joiner ? Node(NodeId(0), 4.0, config, /*contact_epoch=*/0)
+                         : Node(NodeId(0), 4.0, config);
+    node.bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(1), 0}});
+    FakeOutbox out;
+    Rng rng(1);
+    const Message input = c.arrange(node, out, rng);
+    const NodeId from(std::holds_alternative<AggPush>(input) ? 2 : 1);
+    out.sent.clear();
+
+    EXPECT_EQ(node.on_message(from, input, /*now=*/2, out), c.outcome);
+    if (c.reply) {
+      ASSERT_EQ(out.sent.size(), 1u);
+      const auto& sent = out.sent.front();
+      EXPECT_EQ(sent.to, from);
+      EXPECT_EQ(sent.refusal, c.via_refuse);
+      const auto* reply = std::get_if<AggReply>(&sent.message);
+      ASSERT_NE(reply, nullptr);
+      EXPECT_EQ(reply->epoch, c.reply->epoch);
+      EXPECT_EQ(reply->request_id, c.reply->request_id);
+      EXPECT_EQ(reply->refused, c.reply->refused);
+      EXPECT_EQ(reply->value, c.reply->value);
+    } else {
+      EXPECT_TRUE(out.sent.empty());
+    }
+    EXPECT_EQ(node.estimate(), c.estimate);
+    EXPECT_EQ(node.epoch(), c.epoch);
+    EXPECT_EQ(node.pending(), c.pending);
+  }
+}
 
 WorldConfig small_world(std::uint32_t n, std::uint64_t seed) {
   WorldConfig cfg;
@@ -70,7 +208,7 @@ TEST(ProtoWorld, ExchangeCountIsOnePlusPoissonOne) {
   w.run_cycles(20);
   stats::RunningStats received, initiated;
   for (std::uint32_t u = 0; u < w.size(); ++u) {
-    const auto& st = w.node(NodeId(u)).stats();
+    const auto& st = w.stats(NodeId(u));
     received.add(static_cast<double>(st.pushes_received) / 20.0);
     initiated.add(static_cast<double>(st.exchanges_initiated) / 20.0);
   }
@@ -91,7 +229,7 @@ TEST(ProtoWorld, CrashedPeerCausesTimeoutsNotHangs) {
   w.run_cycles(10);
   std::uint64_t timeouts = 0;
   for (std::uint32_t u = 0; u < 10; ++u) {
-    timeouts += w.node(NodeId(u)).stats().timeouts;
+    timeouts += w.stats(NodeId(u)).timeouts;
   }
   EXPECT_GT(timeouts, 0u);  // dead peers were contacted and timed out
   // Survivors still converge among themselves (mass of the dead is lost,
@@ -149,7 +287,7 @@ TEST(ProtoWorld, LaggardAdoptsNewerEpochEpidemically) {
     const auto& n = w.node(NodeId(u));
     max_epoch = std::max(max_epoch, n.epoch());
     min_epoch = std::min(min_epoch, n.epoch());
-    adoption.add(static_cast<double>(n.stats().epochs_adopted));
+    adoption.add(static_cast<double>(w.stats(NodeId(u)).epochs_adopted));
   }
   // Despite random phases the network stays epoch-synchronized within 1.
   EXPECT_LE(max_epoch - min_epoch, 1u);
@@ -173,7 +311,7 @@ TEST(ProtoWorld, JoinerSitsOutThenParticipates) {
   // After the roll it participates.
   w.run_cycles(12);
   EXPECT_TRUE(w.node(fresh).participating());
-  EXPECT_GT(w.node(fresh).stats().exchanges_completed, 0u);
+  EXPECT_GT(w.stats(fresh).exchanges_completed, 0u);
 }
 
 TEST(ProtoWorld, MessageLossOnlyDegradesGracefully) {

@@ -65,6 +65,13 @@ TEST(Executor, LoopbackZeroLossConservesSumExactly) {
   EXPECT_GE(c.pushes_sent, c.exchanges_completed);
   EXPECT_GT(c.bytes_encoded, 0u);
   EXPECT_EQ(c.bytes_encoded, c.bytes_decoded);
+  // The counter ledger: every frame sent is processed, every push is
+  // answered exactly once (served or refused with a busy NACK), and every
+  // answer resolves its exchange.
+  EXPECT_EQ(c.messages_sent, c.messages_received);
+  EXPECT_EQ(c.pushes_sent, c.pushes_received);
+  EXPECT_EQ(c.pushes_received, c.replies_sent);
+  EXPECT_EQ(c.replies_received, c.exchanges_completed + c.busy_nacks);
 
   // Peak converges toward the true mean 1.0.
   ASSERT_FALSE(result.per_cycle.empty());
@@ -97,6 +104,10 @@ TEST(Executor, LoopbackSurvivesMessageLoss) {
                             static_cast<double>(c.messages_sent);
   EXPECT_GE(drop_share, 0.16);
   EXPECT_LE(drop_share, 0.24);
+  // The ledger under loss: a frame is either processed or eaten by the
+  // loss model, and a push either gets its answer or times out.
+  EXPECT_EQ(c.messages_sent, c.messages_received + c.dropped_loss);
+  EXPECT_EQ(c.pushes_sent, c.replies_received + c.timeouts);
 
   ASSERT_FALSE(result.per_cycle.empty());
   EXPECT_LT(result.per_cycle.back().variance(),

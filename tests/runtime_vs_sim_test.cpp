@@ -2,8 +2,10 @@
 // deployment runtime and on the simulators must agree on the protocol's
 // macroscopic behavior — exact global sum conservation under zero loss,
 // and a per-cycle variance-reduction factor within tolerance of the
-// event-driven driver (the closest semantic match: both enforce exchange
-// atomicity with busy-NACKs) and of the serial cycle driver at small N.
+// event-driven driver (the closest semantic match: both host the same
+// proto::Node, whose one refusal rule enforces exchange atomicity — the
+// runtime delivers a refusal as a busy NACK, the event world drops it and
+// lets the initiator time out) and of the serial cycle driver at small N.
 // The runtime is wall-clock concurrent, so the comparison is statistical
 // (factors), never bit-level.
 #include <gtest/gtest.h>

@@ -168,6 +168,24 @@ TEST(Rng, SampleDistinctFullRange) {
   for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(sample[i], i);
 }
 
+// Pins Floyd's draw sequence exactly, below and above the size where
+// duplicate detection switches from scanning to a hash set.
+TEST(Rng, SampleDistinctGoldenSequence) {
+  Rng r(53);
+  const std::vector<std::uint64_t> small = r.sample_distinct(50, 10);
+  EXPECT_EQ(small,
+            (std::vector<std::uint64_t>{39, 3, 41, 14, 2, 11, 42, 1, 12, 29}));
+  EXPECT_EQ(r(), 15364083462534753163ULL);
+
+  std::vector<std::uint64_t> large = r.sample_distinct(1000, 200);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t v : large) h = (h ^ v) * 0x100000001b3ULL;
+  EXPECT_EQ(h, 243357038293324029ULL);
+  EXPECT_EQ(large.front(), 383u);
+  EXPECT_EQ(large.back(), 491u);
+  EXPECT_EQ(r(), 10736437657827762882ULL);
+}
+
 TEST(Rng, SampleDistinctRejectsOversizedRequest) {
   Rng r(43);
   EXPECT_THROW(r.sample_distinct(3, 4), require_error);

@@ -281,5 +281,75 @@ TEST(NewscastNetwork, SelfNeverCached) {
   }
 }
 
+// FNV-1a over every view: each node's size, then its entries' ids and
+// timestamps, freshest first.
+std::uint64_t view_hash(const NewscastNetwork& net) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint32_t u = 0; u < net.size(); ++u) {
+    const auto view = net.view(NodeId(u));
+    mix(view.size());
+    for (const CacheEntry& e : view) {
+      mix(e.id.value());
+      mix(e.timestamp);
+    }
+  }
+  return h;
+}
+
+struct BootstrapGolden {
+  std::uint32_t n;
+  std::size_t c;
+  std::uint64_t seed;
+  std::uint64_t bootstrap_hash;  // views right after bootstrap_random
+  std::uint64_t next_draw;       // the bootstrap rng's next output
+  std::uint64_t churned_hash;    // views after the exchanges and joins below
+};
+
+// Pins bootstrap_random bit for bit: the pool, the sizes and the rng
+// state it leaves behind, plus the views after further exchanges and
+// joins, which read the slot order and the merge marks bootstrap leaves.
+// (20, 30) caps the fill at n - 1.
+TEST(NewscastNetwork, BootstrapGoldens) {
+  const BootstrapGolden goldens[] = {
+      {100000, 30, 1, 16616285112602949869ULL, 11901307400302921696ULL,
+       2937979598123010996ULL},
+      {50, 8, 7, 1919855822719922608ULL, 14785798470190320348ULL,
+       12606338409770491988ULL},
+      {20, 30, 3, 2723682382092774309ULL, 11372061141988696319ULL,
+       17233156796098251648ULL},
+  };
+  for (const BootstrapGolden& g : goldens) {
+    SCOPED_TRACE(testing::Message() << "n=" << g.n << " c=" << g.c
+                                    << " seed=" << g.seed);
+    NewscastNetwork net(g.c);
+    Rng rng(g.seed);
+    net.bootstrap_random(g.n, 0, rng);
+    EXPECT_EQ(view_hash(net), g.bootstrap_hash);
+    EXPECT_EQ(rng(), g.next_draw);
+
+    Rng churn(g.seed + 100);
+    std::uint64_t now = 1;
+    for (int step = 0; step < 1000; ++step, ++now) {
+      const auto a = static_cast<std::uint32_t>(churn.below(net.size()));
+      auto b = static_cast<std::uint32_t>(churn.below(net.size() - 1));
+      if (b >= a) ++b;
+      net.exchange(NodeId(a), NodeId(b), now);
+      if (step % 10 == 0) {
+        const NodeId contact(
+            static_cast<std::uint32_t>(churn.below(net.size())));
+        net.add_node(NodeId(static_cast<std::uint32_t>(net.size())), contact,
+                     now);
+      }
+    }
+    EXPECT_EQ(view_hash(net), g.churned_hash);
+  }
+}
+
 }  // namespace
 }  // namespace gossip::membership

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels: the
-// UPDATE functions, the sparse COUNT merge, the NEWSCAST cache merge, RNG
-// primitives, and whole-simulation throughput. Not paper figures — these
-// quantify the substrate so regressions in the simulator itself are
-// visible.
+// UPDATE functions, the sparse COUNT merge, the NEWSCAST cache merge,
+// bootstrap and exchange, RNG primitives, and whole-simulation
+// throughput. Not paper figures — these quantify the substrate so
+// regressions in the simulator itself are visible.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -14,6 +14,7 @@
 #include "experiment/engine.hpp"
 #include "experiment/spec.hpp"
 #include "failure/failure_plan.hpp"
+#include "membership/newscast.hpp"
 #include "membership/newscast_cache.hpp"
 
 namespace {
@@ -65,9 +66,10 @@ void BM_NewscastCacheMerge(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   membership::NewscastCache mine(c), theirs(c);
+  // Random timestamps within the packed 32-bit clock.
   for (std::size_t i = 0; i < c; ++i) {
-    mine.insert({NodeId(static_cast<std::uint32_t>(i)), rng()});
-    theirs.insert({NodeId(static_cast<std::uint32_t>(i + c / 2)), rng()});
+    mine.insert({NodeId(static_cast<std::uint32_t>(i)), rng() >> 32});
+    theirs.insert({NodeId(static_cast<std::uint32_t>(i + c / 2)), rng() >> 32});
   }
   std::uint64_t now = 1;
   for (auto _ : state) {
@@ -76,6 +78,42 @@ void BM_NewscastCacheMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * c);
 }
 BENCHMARK(BM_NewscastCacheMerge)->Arg(10)->Arg(30)->Arg(50);
+
+// The §4.2 out-of-band bootstrap: N random c=30 views.
+void BM_NewscastBootstrap(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  membership::NewscastNetwork net(30);
+  Rng rng(7);
+  for (auto _ : state) {
+    net.bootstrap_random(n, 0, rng);
+    benchmark::DoNotOptimize(net.view(NodeId(0)).data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_NewscastBootstrap)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
+
+// One push–pull cache exchange between random nodes of a bootstrapped
+// N=10⁵, c=30 network (the pool is far larger than L2, as in a cycle).
+void BM_NewscastExchange(benchmark::State& state) {
+  constexpr std::uint32_t kNodes = 100'000;
+  membership::NewscastNetwork net(30);
+  Rng rng(8);
+  net.bootstrap_random(kNodes, 0, rng);
+  std::uint64_t exchanges = 0;
+  for (auto _ : state) {
+    const auto a = static_cast<std::uint32_t>(rng.below(kNodes));
+    auto b = static_cast<std::uint32_t>(rng.below(kNodes - 1));
+    if (b >= a) ++b;
+    // Logical time advances once per kNodes exchanges, like a cycle.
+    net.exchange(NodeId(a), NodeId(b), 1 + exchanges++ / kNodes);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NewscastExchange);
 
 void BM_CycleSimAverage(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

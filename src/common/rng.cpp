@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -35,23 +36,35 @@ std::uint64_t Rng::poisson(double mean) {
   return value <= 0.0 ? 0 : static_cast<std::uint64_t>(value);
 }
 
-std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t n,
-                                                std::size_t k) {
+void Rng::sample_distinct(std::uint64_t n, std::span<std::uint64_t> out) {
+  const std::size_t k = out.size();
   GOSSIP_REQUIRE(k <= n, "cannot sample more distinct values than exist");
-  // Floyd's algorithm: k iterations, each adding exactly one new element.
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::uint64_t> result;
-  result.reserve(k);
-  for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t t = below(j + 1);
-    if (seen.insert(t).second) {
-      result.push_back(t);
-    } else {
-      seen.insert(j);
-      result.push_back(j);
+  // Floyd's algorithm: iteration j draws t from [0, j] and keeps t unless
+  // it was drawn before, else j — which cannot have been, since every
+  // earlier value is < j. So duplicate detection only has to answer "was
+  // t drawn before", and both lookups below answer it identically: a
+  // scan of the values so far for small k, a hash set above that.
+  constexpr std::size_t kScanLimit = 64;
+  std::size_t filled = 0;
+  if (k <= kScanLimit) {
+    for (std::uint64_t j = n - k; j < n; ++j) {
+      const std::uint64_t t = below(j + 1);
+      const auto drawn = out.first(filled);
+      const bool seen = std::find(drawn.begin(), drawn.end(), t) != drawn.end();
+      out[filled++] = seen ? j : t;
     }
+    return;
   }
-  return result;
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(k);
+  for (std::uint64_t j = n - k; j < n; ++j) {
+    std::uint64_t t = below(j + 1);
+    if (!seen.insert(t).second) {
+      t = j;
+      seen.insert(j);
+    }
+    out[filled++] = t;
+  }
 }
 
 }  // namespace gossip

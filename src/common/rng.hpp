@@ -113,8 +113,17 @@ public:
     shuffle(std::span<T>(items));
   }
 
-  /// k distinct values from [0, n) in O(k) expected time (Floyd's method).
-  std::vector<std::uint64_t> sample_distinct(std::uint64_t n, std::size_t k);
+  /// k = out.size() distinct values from [0, n) with k calls to below()
+  /// (Floyd's method), written in draw order. Allocation-free for small
+  /// k, so bulk callers reuse one buffer across calls.
+  void sample_distinct(std::uint64_t n, std::span<std::uint64_t> out);
+
+  /// k distinct values from [0, n); the same draws as the buffer form.
+  std::vector<std::uint64_t> sample_distinct(std::uint64_t n, std::size_t k) {
+    std::vector<std::uint64_t> result(k);
+    sample_distinct(n, std::span<std::uint64_t>(result));
+    return result;
+  }
 
   /// Derives an independent child generator; used to give each repetition
   /// or node its own stream without correlations.

@@ -169,18 +169,27 @@ void NewscastNetwork::bootstrap_random(std::uint32_t n, std::uint64_t now,
                                        Rng& rng) {
   GOSSIP_REQUIRE(n >= 2, "newscast bootstrap needs at least two nodes");
   pool_.assign(static_cast<std::size_t>(n) * cache_size_, CacheEntry{});
-  sizes_.assign(n, 0);
   // Both mark arrays restart with the epoch: a re-bootstrapped network
-  // must not dedup against stamps of its previous life.
-  buffers_.mark.assign(n, 0);
-  buffers_.mark2.assign(n, 0);
+  // must not dedup against stamps of its previous life. Emptied, not
+  // zero-filled: begin_merge sizes them with zeros on first use, so a
+  // network whose exchanges all run on caller-owned buffers (the
+  // intra-rep engine) never allocates them.
+  buffers_.mark.clear();
+  buffers_.mark2.clear();
   buffers_.epoch = 0;
   const std::size_t fill = std::min<std::size_t>(cache_size_, n - 1);
+  sizes_.assign(n, static_cast<std::uint32_t>(fill));
+  // The slot merge_into would build from these draws, written directly
+  // (see the header for why the two agree).
+  std::vector<std::uint64_t> draws(fill);
   for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint64_t raw : rng.sample_distinct(n - 1, fill)) {
-      const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-      merge_into(buffers_, u, {}, CacheEntry{NodeId(v), now},
-                 NodeId::invalid());
+    rng.sample_distinct(n - 1, std::span<std::uint64_t>(draws));
+    std::sort(draws.begin(), draws.end());
+    CacheEntry* slot = pool_.data() + static_cast<std::size_t>(u) * cache_size_;
+    for (std::size_t i = 0; i < fill; ++i) {
+      const std::uint64_t raw = draws[i];
+      slot[i] = CacheEntry{
+          NodeId(static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw)), now};
     }
   }
 }
@@ -213,7 +222,7 @@ void NewscastNetwork::add_node_with_view(NodeId id,
 void NewscastNetwork::reserve_joins(std::size_t extra) {
   pool_.reserve(pool_.size() + extra * cache_size_);
   sizes_.reserve(sizes_.size() + extra);
-  buffers_.mark.reserve(buffers_.mark.size() + extra);
+  buffers_.mark.reserve(sizes_.size() + extra);
 }
 
 void NewscastNetwork::exchange(NodeId a, NodeId b, std::uint64_t now) {

@@ -97,6 +97,14 @@ public:
   /// Registers node ids [0, n) and fills each cache with `cache_size`
   /// random other nodes at timestamp `now` — the out-of-band bootstrap
   /// of §4.2.
+  ///
+  /// Each slot is written directly in merge order rather than built by
+  /// `cache_size` single-entry merges (O(c²) per node): every entry
+  /// shares the timestamp `now`, so freshest-first is ascending id; the
+  /// Floyd draws are distinct and the self-skip map raw → raw + (raw ≥ u)
+  /// is monotone and never yields u, so sorting the raw draws and
+  /// mapping them reproduces the merged slot — same pool, same sizes,
+  /// same rng consumption (golden-tested in tests/membership_test.cpp).
   void bootstrap_random(std::uint32_t n, std::uint64_t now, Rng& rng);
 
   /// Adds one node. Its initial view is a copy of the `contact`'s cache

@@ -38,11 +38,13 @@ Graph complete_graph(std::uint32_t n) {
 Graph random_k_out(std::uint32_t n, std::uint32_t k, Rng& rng) {
   GOSSIP_REQUIRE(k >= 1 && k < n, "need 1 <= k < n");
   std::vector<std::vector<NodeId>> adj(n);
+  std::vector<std::uint64_t> draws(k);
   for (std::uint32_t u = 0; u < n; ++u) {
     adj[u].reserve(k);
     // Sample k distinct values from [0, n-1) and shift past `u` to skip
     // the self-loop without rejection.
-    for (std::uint64_t raw : rng.sample_distinct(n - 1, k)) {
+    rng.sample_distinct(n - 1, std::span<std::uint64_t>(draws));
+    for (std::uint64_t raw : draws) {
       const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
       adj[u].emplace_back(v);
     }

@@ -30,12 +30,14 @@ World::World(WorldConfig config)
   // Random bootstrap views, as in the cycle driver.
   const std::size_t fill =
       std::min<std::size_t>(config_.protocol.cache_size, config_.nodes - 1);
+  std::vector<std::uint64_t> draws(fill);
+  std::vector<membership::CacheEntry> view(fill);
   for (std::uint32_t u = 0; u < config_.nodes; ++u) {
-    std::vector<membership::CacheEntry> view;
-    view.reserve(fill);
-    for (std::uint64_t raw : rng_.sample_distinct(config_.nodes - 1, fill)) {
-      const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-      view.push_back(membership::CacheEntry{NodeId(v), 0});
+    rng_.sample_distinct(config_.nodes - 1, std::span<std::uint64_t>(draws));
+    for (std::size_t i = 0; i < fill; ++i) {
+      const std::uint64_t raw = draws[i];
+      view[i] = membership::CacheEntry{
+          NodeId(static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw)), 0};
     }
     slots_[u].node.bootstrap_view(view);
   }
@@ -51,10 +53,11 @@ void World::add_slot(Node node) {
 }
 
 void World::start() {
-  for (std::uint32_t u = 0; u < slots_.size(); ++u) start(u);
+  for (std::uint32_t u = 0; u < slots_.size(); ++u) start(NodeId(u));
 }
 
-void World::start(std::uint32_t u) {
+void World::start(NodeId id) {
+  const std::uint32_t u = index(id);
   Slot& s = slots_[u];
   GOSSIP_REQUIRE(s.cycle_task == 0, "node already started");
   const sim::SimTime phase = s.rng.below(config_.protocol.cycle_length);
@@ -128,7 +131,7 @@ NodeId World::join(NodeId contact, double local_value) {
   // The node is built before add_slot() may move the slots.
   add_slot(Node(id, local_value, config_.protocol, contact_node.epoch()));
   slots_.back().node.bootstrap_view(view);
-  start(id.value());
+  start(id);
   return id;
 }
 

@@ -55,6 +55,10 @@ public:
   /// Starts every node at a random phase.
   void start();
 
+  /// Starts one node at a random phase within the next cycle; a node
+  /// started cycles after the rest is a laggard (§4.3).
+  void start(NodeId id);
+
   /// Advances virtual time by `cycles` × δ.
   void run_cycles(double cycles);
 
@@ -106,7 +110,6 @@ private:
   void refuse(NodeId, NodeId, Message) override {}
   [[nodiscard]] std::uint32_t index(NodeId id) const;
   void add_slot(Node node);
-  void start(std::uint32_t u);
   void on_cycle(std::uint32_t u);
   void on_message(std::uint32_t u, NodeId from, const Message& message);
   void settle(Slot& s);
